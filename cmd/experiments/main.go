@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,19 +20,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and prints the selected tables to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		quick = flag.Bool("quick", false, "trimmed sweeps for a fast pass")
-		seeds = flag.Int("seeds", 0, "override runs per parameter point")
-		only  = flag.String("only", "", "comma-separated experiment ids (e.g. E1,E5)")
+		quick = fs.Bool("quick", false, "trimmed sweeps for a fast pass")
+		seeds = fs.Int("seeds", 0, "override runs per parameter point")
+		only  = fs.String("only", "", "comma-separated experiment ids (e.g. E1,E5)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := expr.DefaultConfig()
 	if *quick {
@@ -76,7 +81,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Println(res.Table.String())
+		fmt.Fprintln(out, res.Table.String())
 	}
 	return nil
 }

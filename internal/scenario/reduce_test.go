@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math/rand/v2"
 	"reflect"
@@ -111,12 +113,36 @@ func TestReducerPartialPrefixes(t *testing.T) {
 	}
 }
 
+// presetTrialFingerprints pins, per shipped preset, the sha256 of the JSON
+// encoding of the preset's full []TrialResult. It is the per-preset half of
+// the determinism oracle (cmd/experiments' quick golden is the other): an
+// engine refactor must leave every trial of every preset unchanged. A change
+// that alters executions on purpose updates these in the same diff.
+var presetTrialFingerprints = map[string]string{
+	"mis-quick":          "7e9772e367ed76cd72ab935c0d25c84374f3b13ebf9898c827bcecce300e329a",
+	"mis-midsize":        "738c5bce73c0e91afeb63977c1aa47274d137585420dec46ec02f8123b5eae76",
+	"mis-classic":        "9a434277a82de9457bbc1463d118b2ab269a45f7cb1f74ccbec3476064c9217c",
+	"mis-full-adversary": "9ab8a67285eb81c5f533faf1af09bc4ea030a99b5ac9a77b43cb61a37ccfdfc0",
+	"ccds-quick":         "de0a6450e071429f66d2794842e59623b402495e6388167282941e69c359cad7",
+	"ccds-wideband":      "2a1365849867ed6259dc0eac627f015f5510b0cb29e4831e538820d81efbd7b5",
+	"baseline-ccds":      "b3236f5d48493a584ba837c898f20288c0bcf79243a8952055f1099b6117a833",
+	"tau-ccds":           "52d620ba7edbfeeb29a779e60fb53678ec0388789d101b57e1c211703e6a97c6",
+	"async-mis":          "7207ab5f55bca85512924ba168e1bb46271f306fc87d21f450456890b813bc2d",
+	"lossy-uniform":      "2a1365849867ed6259dc0eac627f015f5510b0cb29e4831e538820d81efbd7b5",
+	"bursty-links":       "fd9fe5a06a8373e26b020d0a37849443384db5fa7e9f571b0396a280aa2e0184",
+	"dynamic-ccds":       "e7dae2f68052654020410f6226e1c518a4c409d5a0f656053c138dcdc5673a1a",
+}
+
 // TestEveryPresetAggregateByteIdentical is the acceptance golden: for every
-// shipped preset, the streaming reducer folded over the preset's real trial
-// outcomes serializes byte-identically to the legacy batch computation.
+// shipped preset, the preset's trial outcomes match their pinned fingerprint,
+// and the streaming reducer folded over them serializes byte-identically to
+// the legacy batch computation.
 func TestEveryPresetAggregateByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every preset's full trial set")
+	}
+	if len(Presets()) != len(presetTrialFingerprints) {
+		t.Errorf("registry has %d presets, fingerprint map has %d", len(Presets()), len(presetTrialFingerprints))
 	}
 	for _, p := range Presets() {
 		p := p
@@ -131,6 +157,14 @@ func TestEveryPresetAggregateByteIdentical(t *testing.T) {
 				if trials[i], err = comp.RunTrial(i); err != nil {
 					t.Fatal(err)
 				}
+			}
+			raw, err := json.Marshal(trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got, want := hex.EncodeToString(sum[:]), presetTrialFingerprints[p.Name]; got != want {
+				t.Errorf("%s trial fingerprint = %s, want %s", p.Name, got, want)
 			}
 			got := aggJSON(t, AggregateTrials(trials))
 			want := aggJSON(t, legacyAggregate(trials))
