@@ -4,7 +4,7 @@ DATE := $(shell date +%F)
 # the same day (e.g. make bench OUT=BENCH_$(DATE)-pr2.json).
 OUT ?= BENCH_$(DATE).json
 
-.PHONY: build test check detvet fuzz-smoke bench bench-headline bench-sweep bench-report bench-leap verify serve sweep-e2e crash-e2e fleet-e2e metrics-e2e chaos
+.PHONY: build test check detvet fuzz-smoke bench bench-headline bench-sweep bench-report verify serve sweep-e2e crash-e2e fleet-e2e metrics-e2e chaos
 
 build:
 	$(GO) build ./...
@@ -30,12 +30,10 @@ check:
 detvet:
 	$(GO) run ./cmd/detvet ./...
 
-# fuzz-smoke runs the fuzzers briefly — long enough to replay the corpus
-# and shake the mutator, short enough for CI: the spec-canonicalization
-# fuzzer and the exact-vs-leap differential engine harness.
+# fuzz-smoke runs the spec-canonicalization fuzzer briefly — long enough
+# to replay the corpus and shake the mutator, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpecCanonicalization -fuzztime 30s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzLeapDifferential -fuzztime 30s ./internal/harness
 
 # serve runs the simulation service daemon (see examples/radiod/README.md
 # for the API quickstart; ADDR overrides the listen address).
@@ -62,16 +60,6 @@ bench-sweep:
 		./internal/scenario ./internal/store \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchtool -out BENCH_$(DATE)-sweep.json
-
-# bench-leap snapshots the exact-vs-leap engine comparison: the distilled
-# quiet-phase pair (the acceptance ratio) plus full-MIS end-to-end pairs
-# (see BENCH_<date>-leap.json). Single-core-CI caveat: only the exact/leap
-# ratio measured on one machine is meaningful, not absolute ns/op.
-bench-leap:
-	$(GO) test -run '^$$' -bench='BenchmarkLeapVsExact' -benchmem -count=1 \
-		./internal/sim \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchtool -out BENCH_$(DATE)-leap.json
 
 # bench-report snapshots the streaming-reduction and report layer: the
 # trial reducer, the quantile-sketch accumulator, and the sweep pivot

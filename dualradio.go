@@ -146,15 +146,9 @@ type RunOptions struct {
 	// Params overrides the algorithms' constant factors; zero value uses
 	// calibrated defaults.
 	Params core.Params
-	// Workers > 1 fans per-round process callbacks over goroutines.
-	Workers int
 	// CollectTrace aggregates per-node and per-round activity during the
 	// run; the summary is reported in Result.TraceSummary.
 	CollectTrace bool
-	// Leap selects the leap-ahead engine: broadcast-free stretches are
-	// skipped via geometric sampling. Statistically equivalent to the
-	// default exact engine but not bit-identical run for run.
-	Leap bool
 }
 
 func (nw *Network) scenario(opts RunOptions) *harness.Scenario {
@@ -171,15 +165,13 @@ func (nw *Network) scenario(opts RunOptions) *harness.Scenario {
 		adv = adversary.NewCollisionSeeking(nw.net)
 	}
 	s := &harness.Scenario{
-		Net:     nw.net,
-		Asg:     nw.asg,
-		Det:     nw.det,
-		Adv:     adv,
-		Params:  opts.Params,
-		Seed:    opts.Seed,
-		B:       opts.MessageBits,
-		Workers: opts.Workers,
-		Leap:    opts.Leap,
+		Net:    nw.net,
+		Asg:    nw.asg,
+		Det:    nw.det,
+		Adv:    adv,
+		Params: opts.Params,
+		Seed:   opts.Seed,
+		B:      opts.MessageBits,
 	}
 	if opts.CollectTrace {
 		s.Observer = trace.NewRecorder(nw.N())

@@ -61,24 +61,6 @@ func (b *Bursty) duration(up bool) int {
 	return d
 }
 
-// Skip implements Skipper for the leap engine: it advances every edge's
-// burst state machine across a stretch of broadcast-free rounds in one step.
-// The recurrence is identical to the per-round advance in Reach — subtract
-// the elapsed rounds from the remaining burst length, then toggle and redraw
-// durations until the balance is positive — and it consumes the RNG in the
-// same order, so the post-skip state is bit-identical to what the skipped
-// per-round Reach calls would have left behind.
-func (b *Bursty) Skip(_, rounds int) {
-	for i := range b.gray {
-		rem := b.remaining[i] - rounds
-		for rem <= 0 {
-			b.up[i] = !b.up[i]
-			rem += b.duration(b.up[i])
-		}
-		b.remaining[i] = rem
-	}
-}
-
 // Reach implements Adversary.
 func (b *Bursty) Reach(_ int, bcast []bool) []int {
 	b.reuse = b.reuse[:0]

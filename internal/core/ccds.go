@@ -178,10 +178,6 @@ type CCDSProcess struct {
 	// is constant within its epoch.
 	stopMsg     *stopMsg
 	pendingMsgs []*bannedChunkMsg
-
-	// arena recycles short-lived outgoing messages under the leap engine;
-	// nil under the exact engine (see leapMsgs).
-	arena *leapMsgs
 }
 
 var _ sim.Process = (*CCDSProcess)(nil)
@@ -486,11 +482,6 @@ func (p *CCDSProcess) sendDecay(off int) (sim.Message, int) {
 		// firings are combined into a single batched message.
 		prob := p.sched.mis.probs[ddPhase]
 		var entries []nomination
-		if p.arena != nil {
-			// Leap engine: reuse the arena's entries buffer (receivers
-			// copy nomination values, never the slice).
-			entries = p.arena.noms[:0]
-		}
 		for i := range p.noms {
 			if p.noms[i].active && p.cfg.Rng.Float64() < prob {
 				entries = append(entries, nomination{
@@ -499,14 +490,8 @@ func (p *CCDSProcess) sendDecay(off int) (sim.Message, int) {
 				})
 			}
 		}
-		if p.arena != nil {
-			p.arena.noms = entries
-		}
 		if len(entries) == 0 {
 			return nil, 1
-		}
-		if p.arena != nil {
-			return p.arena.newNominate(p.cfg.N, p.cfg.ID, entries), 1
 		}
 		return newNominate(p.cfg.N, p.cfg.ID, entries), 1
 	}

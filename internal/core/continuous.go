@@ -84,7 +84,7 @@ func (p *ContinuousCCDSProcess) Broadcast(round int) sim.Message {
 
 // beginPeriod commits the previous period's result and starts a fresh inner
 // CCDS run against the detector's current output. Called at every period
-// boundary by both the exact and leap broadcast paths.
+// boundary by the broadcast path.
 func (p *ContinuousCCDSProcess) beginPeriod(round int) {
 	p.commit()
 	inner, err := NewCCDSProcess(CCDSConfig{

@@ -62,11 +62,6 @@ type enumConnect struct {
 	// Dominator state.
 	paths map[int]pathChoice // dominator x -> selected path
 	sel   []pathChoice       // frozen selection for phase C
-
-	// Leap engine state (unused by the exact engine): the message arena and
-	// the cached phase-0 detector chunks (see leap.go).
-	arena        *leapMsgs
-	chunks0Cache [][]int
 }
 
 // enumStagger is the number of id-residue groups used to stagger the phases

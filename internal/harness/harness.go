@@ -43,12 +43,6 @@ type Scenario struct {
 	// schedule (Rounds, Broadcasts, ...) do differ; leave this off when
 	// those matter.
 	StopWhenDecided bool
-	// Workers fans process callbacks out over goroutines when > 1.
-	Workers int
-	// Leap selects the leap engine (sim.Config.Leap): geometric round
-	// sampling and clock jumps over broadcast-free stretches. Executions are
-	// statistically equivalent to the exact engine but not bit-identical.
-	Leap bool
 	// Observer, if non-nil, receives per-round callbacks.
 	Observer sim.Observer
 	// Shared, if non-nil, is the cached instance backing Net/Asg/Det.
@@ -149,8 +143,6 @@ func (s *Scenario) run(procs []sim.Process, maxRounds int) (*sim.Runner, error) 
 		MessageBits: s.B,
 		MaxRounds:   maxRounds,
 		Observer:    s.Observer,
-		Workers:     s.Workers,
-		Leap:        s.Leap,
 	})
 	if err != nil {
 		return nil, err
@@ -371,8 +363,6 @@ func (s *Scenario) RunAsyncMIS(wake []int, filter core.FilterMode) (*AsyncOutcom
 		MessageBits: s.B,
 		MaxRounds:   maxRounds,
 		Observer:    s.Observer,
-		Workers:     s.Workers,
-		Leap:        s.Leap,
 	})
 	if err != nil {
 		return nil, err

@@ -95,7 +95,6 @@ func (c *Compiled) Scenario(trial int) (*harness.Scenario, error) {
 		B:               sp.B,
 		MaxRounds:       sp.MaxRounds,
 		StopWhenDecided: sp.StopWhenDecided,
-		Leap:            sp.Engine == EngineLeap,
 		Shared:          inst,
 	}
 	if sp.Algorithm == AlgoAsyncMIS {

@@ -12,6 +12,8 @@ import (
 // across a fleet under the canonical hash):
 //
 //   - no input makes ParseSpec, Canonical, Validate, or CanonicalHash panic;
+//   - only the exact engine validates: any other engine name, the removed
+//     "leap" included, is rejected;
 //   - hashing is deterministic: two CanonicalHash calls on the same spec
 //     agree byte-for-byte;
 //   - Canonical is idempotent: Canonical(Canonical(s)) == Canonical(s);
@@ -20,7 +22,8 @@ import (
 //     own JSON (the round trip a spec takes through the store).
 //
 // The seed corpus is every shipped preset plus hostile hand-written JSON
-// (empty objects, zero values, non-finite floats, deep pointers set).
+// (empty objects, zero values, non-finite floats, deep pointers set, removed
+// and misspelled engine names).
 func FuzzSpecCanonicalization(f *testing.F) {
 	for _, p := range Presets() {
 		b, err := json.Marshal(p.Spec)
@@ -51,7 +54,10 @@ func FuzzSpecCanonicalization(f *testing.F) {
 		if err != nil {
 			return // rejected inputs just need to not panic
 		}
-		_ = s.Validate() // must not panic, even on garbage
+		// Validate must not panic, even on garbage.
+		if err := s.Validate(); err == nil && s.Canonical().Engine != "" {
+			t.Fatalf("engine %q validated; only exact exists", s.Engine)
+		}
 
 		h1, err1 := s.CanonicalHash()
 		h2, err2 := s.CanonicalHash()

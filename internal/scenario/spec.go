@@ -58,17 +58,10 @@ const (
 	AlgoContinuousCCDS = "continuous-ccds"
 )
 
-// Execution engines accepted by Spec.Engine.
-const (
-	// EngineExact is the round-by-round engine: every round is executed
-	// and every process draws its coins in round order, so results are
-	// bit-identical to the pre-engine-field scenario layer.
-	EngineExact = "exact"
-	// EngineLeap is the leap-ahead engine: broadcast-free stretches are
-	// skipped via geometric sampling. Statistically equivalent to exact
-	// but not bit-identical, so it hashes as a distinct workload.
-	EngineLeap = "leap"
-)
+// EngineExact is the only value Spec.Engine accepts besides the empty
+// string: the round-by-round engine, which executes every round and draws
+// every process's coins in round order.
+const EngineExact = "exact"
 
 // Adversary kinds accepted by AdversarySpec.Kind.
 const (
@@ -170,11 +163,9 @@ type Spec struct {
 	// is the empty string, so specs predating the policy keep their hashes;
 	// the other policies hash distinctly because they change the Result.
 	TrialRetention string `json:"trial_retention,omitempty"`
-	// Engine selects the execution engine: EngineExact (the default) or
-	// EngineLeap. The canonical spelling of EngineExact is the empty
-	// string, so every spec predating the field keeps its hash; EngineLeap
-	// hashes distinctly because leap trials are statistically equivalent
-	// but not bit-identical.
+	// Engine names the execution engine. Only EngineExact exists; its
+	// canonical spelling is the empty string, so every spec keeps its hash
+	// whether or not it spells the field out.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS caps the run's wallclock in milliseconds (0 = no
 	// deadline). It is an execution policy, not part of the workload: the
@@ -339,10 +330,11 @@ func (s Spec) Validate() error {
 			c.TrialRetention, RetainAll, RetainErrors, RetainNone)
 	}
 	switch c.Engine {
-	case "", EngineLeap: // "" is canonical EngineExact
+	case "": // canonical EngineExact
+	case "leap":
+		return fmt.Errorf("scenario: engine %q was removed; omit engine", c.Engine)
 	default:
-		return fmt.Errorf("scenario: unknown engine %q (want %s|%s)",
-			c.Engine, EngineExact, EngineLeap)
+		return fmt.Errorf("scenario: unknown engine %q (want %s)", c.Engine, EngineExact)
 	}
 	if s.Wake != nil && s.Algorithm != AlgoAsyncMIS {
 		return fmt.Errorf("scenario: wake is only meaningful for algorithm %q", AlgoAsyncMIS)

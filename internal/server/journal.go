@@ -216,8 +216,11 @@ func (s *Server) replayJournal() error {
 		if complete {
 			continue
 		}
-		var swspec scenario.SweepSpec
-		if err := json.Unmarshal(rec.Sweep, &swspec); err != nil {
+		// Strict decoding: a sweep over an axis this code no longer
+		// knows (the removed engine axis) is dropped, not resumed as a
+		// smaller grid.
+		swspec, err := scenario.ParseSweep(rec.Sweep)
+		if err != nil {
 			s.replayDropped++
 			continue
 		}

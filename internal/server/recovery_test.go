@@ -562,3 +562,55 @@ func TestJournalCompactionBoundsJournal(t *testing.T) {
 		t.Fatalf("%d jobs resurrected from a compacted journal", got)
 	}
 }
+
+// TestReplayDropsRemovedEngineRecords is the upgrade path from a daemon that
+// still offered the leap engine: its journal may hold an accepted
+// engine:"leap" job and a sweep over the engine axis. Startup must succeed,
+// both records must be dropped and counted (visible on /healthz), and an
+// ordinary unfinished job beside them must resume and finish. New
+// submissions of either shape are refused with 400.
+func TestReplayDropsRemovedEngineRecords(t *testing.T) {
+	dir := t.TempDir()
+	leap := quickSpec(2, 51)
+	leap.Engine = "leap"
+	engineSweep := json.RawMessage(`{"name":"engines","base":{"algorithm":"mis","network":{"n":32},"trials":2,"seed":52,"stop_when_decided":true},"axes":{"n":{"values":[24,32]},"engine":["leap"]}}`)
+	writeJournalLines(t, dir,
+		journalRecord{Op: opAccept, ID: "j000001", Spec: rawSpec(t, leap)},
+		journalRecord{Op: opSweep, ID: "s000001", Sweep: engineSweep, Children: []string{"j000002", "j000003"}},
+		journalRecord{Op: opAccept, ID: "j000004", Spec: rawSpec(t, quickSpec(2, 53))})
+
+	svc, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if _, ok := svc.Job("j000001"); ok {
+		t.Error("leap job was resumed")
+	}
+	if _, ok := svc.Sweep("s000001"); ok {
+		t.Error("engine-axis sweep was resumed")
+	}
+	job, ok := svc.Job("j000004")
+	if !ok {
+		t.Fatal("ordinary job beside the leap records was not replayed")
+	}
+	waitJob(t, job, StatusDone)
+
+	code, health := getJSON[map[string]any](t, ts.URL+"/healthz")
+	if code != http.StatusOK {
+		t.Fatalf("healthz: %d", code)
+	}
+	if health["replay_dropped"] != float64(2) || health["replayed_jobs"] != float64(1) || health["replayed_sweeps"] != float64(0) {
+		t.Fatalf("healthz replay gauges: dropped %v jobs %v sweeps %v; want 2, 1, 0",
+			health["replay_dropped"], health["replayed_jobs"], health["replayed_sweeps"])
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", leap)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `engine \"leap\" was removed; omit engine`) {
+		t.Errorf("POST leap job: %d %s; want 400 naming the removed engine", resp.StatusCode, body)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(engineSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST engine-axis sweep: %d, want 400", resp.StatusCode)
+	}
+}

@@ -10,9 +10,8 @@
 //     that neighbor's message;
 //   - otherwise the node receives ⊥ (there is no collision detection).
 //
-// The engine is deterministic for a fixed seed and offers both a sequential
-// round loop and a parallel loop that fans process callbacks out over
-// goroutines with barrier synchronization; both produce identical executions.
+// The engine is deterministic for a fixed seed: one sequential round loop
+// drives every process, so an execution is a pure function of its seeds.
 //
 // Performance: the runner maintains an active set of processes that are not
 // yet Done and an incremental undecided counter, so each round costs
@@ -110,23 +109,6 @@ type Config struct {
 	MaxRounds int
 	// Observer, if non-nil, is invoked after every round.
 	Observer Observer
-	// Workers > 1 fans the Broadcast and Receive callbacks out over this
-	// many goroutines per round. The execution is identical to the
-	// sequential one because processes own disjoint state and RNG streams.
-	Workers int
-	// Leap enables the leap-ahead event engine: processes implementing
-	// LeapBroadcaster are driven through BroadcastLeap (which samples the
-	// next broadcast round geometrically instead of flipping a coin per
-	// round), and whenever every awake process is parked in the wake
-	// calendar the round clock jumps straight to the earliest scheduled
-	// wake. Skipped rounds execute trivially (no broadcasters, no
-	// deliveries) and still count in Stats.Rounds, but the Observer is not
-	// invoked for them and stateful adversaries see one Skip call (see
-	// adversary.Skipper) instead of per-round Reach calls. The execution is
-	// statistically equivalent to the exact engine — identical in
-	// distribution, NOT bit-identical, because the PCG streams are consumed
-	// in a different order.
-	Leap bool
 }
 
 // Runner executes a configured execution round by round.
@@ -166,9 +148,7 @@ type Runner struct {
 	// Wake calendar: runnable is the awake subset of active (ascending);
 	// sleeping processes sit in a min-heap of (wakeRound, node) pairs and
 	// are merged back when their round arrives, so a round's broadcast
-	// loop costs O(runnable) rather than O(active). Maintained by the
-	// sequential path only; the parallel path falls back to per-process
-	// sleep checks over the full active set.
+	// loop costs O(runnable) rather than O(active).
 	runnable []int32
 	wakeHeap []int64
 	scratch  []int32
@@ -199,7 +179,7 @@ type fixedLength interface {
 // would have returned nil and changed no observable state in each of them.
 //
 // The coin pre-consumption rule. Bit-identity constrains how randomness may
-// be handled while silent, and the exact engine's correctness hangs on it.
+// be handled while silent, and the engine's correctness hangs on it.
 // Protocols satisfy it in exactly one of two ways:
 //
 //   - No randomness while silent: the skipped rounds would not have touched
@@ -211,48 +191,12 @@ type fixedLength interface {
 //     where a per-round drive would have left it (the enumeration-connect
 //     schedule, whose every round costs one coin).
 //
-// This rule is load-bearing for the exact engine only. The leap engine
-// (Config.Leap) drives LeapBroadcaster processes instead, whose contract
-// abandons bit-identity and therefore owes nothing for skipped rounds.
-//
 // Receive delivery is unaffected by sleeping; a reception may postpone the
 // process's next broadcast but must never move it earlier than the declared
 // wake round.
 type SleepBroadcaster interface {
 	Process
 	BroadcastSleep(round int) (Message, int)
-}
-
-// LeapBroadcaster is the optional Process extension the leap engine
-// (Config.Leap) drives in place of Broadcast/BroadcastSleep. Like
-// BroadcastSleep it returns the round's message together with a wake round w
-// such that the process is guaranteed silent for every round in (round, w) —
-// but the guarantee is distributional, not bit-identical: BroadcastLeap may
-// sample its next broadcast round directly from the geometric distribution
-// of the per-round coin's first success instead of flipping the coin each
-// round, so skipped rounds owe no randomness at all (no draws, no
-// pre-consumption). The law of the execution must equal the exact engine's;
-// the realized trajectory for a fixed seed generally differs.
-//
-// A pre-sampled broadcast round may be invalidated by a reception that
-// changes the process's state before the round arrives (a knockout, a stop
-// order). Discarding the stale sample and re-deciding from the current state
-// at the wake round preserves the law: the discarded coins correspond to
-// stream positions the exact schedule would never have consumed after the
-// same state change, and the geometric distribution is memoryless. As with
-// BroadcastSleep, a reception may postpone the next broadcast but never move
-// it earlier than the declared wake round.
-type LeapBroadcaster interface {
-	Process
-	BroadcastLeap(round int) (Message, int)
-}
-
-// leapAdapter plugs a LeapBroadcaster into the engine's sleep-calendar
-// machinery, which dispatches through the SleepBroadcaster shape.
-type leapAdapter struct{ LeapBroadcaster }
-
-func (a leapAdapter) BroadcastSleep(round int) (Message, int) {
-	return a.BroadcastLeap(round)
 }
 
 // PassiveReceiver is an optional marker for processes whose Receive is a
@@ -316,15 +260,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		case r.uniformDeadline != r.deadline[v]:
 			r.uniformDeadline = -1
 		}
-		if cfg.Leap {
-			// Leap mode prefers the distribution-preserving fast path;
-			// processes without one keep their exact sleep behavior.
-			if lb, ok := p.(LeapBroadcaster); ok {
-				r.sleepers[v] = leapAdapter{lb}
-			} else if sb, ok := p.(SleepBroadcaster); ok {
-				r.sleepers[v] = sb
-			}
-		} else if sb, ok := p.(SleepBroadcaster); ok {
+		if sb, ok := p.(SleepBroadcaster); ok {
 			r.sleepers[v] = sb
 		}
 		if _, ok := p.(PassiveReceiver); ok {
@@ -460,28 +396,6 @@ func (r *Runner) Step() bool {
 		return false
 	}
 
-	// Leap mode: when every awake process is parked in the wake calendar,
-	// the intervening rounds are provably broadcast-free — jump the clock
-	// straight to the earliest scheduled wake. (The runnable list is
-	// maintained by the sequential collect path; when it is stale — the
-	// parallel path leaves it at the full initial set — it is non-empty and
-	// the jump simply never fires.)
-	if r.cfg.Leap && len(r.runnable) == 0 && len(r.wakeHeap) > 0 {
-		if next := int(r.wakeHeap[0] >> 20); next > r.round {
-			target := min(next, r.cfg.MaxRounds)
-			if skipped := target - r.round; skipped > 0 {
-				if sk, ok := r.adv.(adversary.Skipper); ok {
-					sk.Skip(r.round, skipped)
-				}
-				r.round = target
-				r.stats.Rounds = r.round
-			}
-			if r.round >= r.cfg.MaxRounds {
-				return false
-			}
-		}
-	}
-
 	// Phase 1: collect broadcast decisions from the runnable processes
 	// and enforce the b-bit bound on the broadcasters (everyone else is
 	// nil). Processes whose declared wake round has arrived rejoin first.
@@ -585,6 +499,99 @@ func (r *Runner) Step() bool {
 	return true
 }
 
+// collectBroadcasts walks the awake processes, parking the ones that declare
+// a sleep in the wake calendar, builds the broadcaster list, and validates
+// message sizes. Done processes are skipped entirely: by contract they never
+// broadcast again.
+func (r *Runner) collectBroadcasts() {
+	// msgs[v] is written only for broadcasters: the slot is read solely
+	// under bcast[v] (self-reception) or via from[v] (which always names a
+	// current broadcaster), so stale entries are unreachable and the
+	// common silent round costs no interface stores or write barriers.
+	r.bList = r.bList[:0]
+	nr := r.runnable[:0]
+	for _, v := range r.runnable {
+		if !r.isActive[v] {
+			continue
+		}
+		if w := r.sleepUntil[v]; w > r.round {
+			r.heapPush(int64(w)<<20 | int64(v))
+			continue
+		}
+		nr = append(nr, v)
+		if m := r.broadcast(int(v)); m != nil {
+			r.msgs[v] = m
+			r.bcast[v] = true
+			r.bList = append(r.bList, int(v))
+		} else if r.bcast[v] {
+			r.bcast[v] = false
+		}
+	}
+	r.runnable = nr
+	if r.cfg.MessageBits > 0 {
+		// Only broadcasters carry messages, so the bound is checked on
+		// the (usually short) broadcaster list instead of all n slots.
+		for _, v := range r.bList {
+			if m := r.msgs[v]; m.BitSize() > r.cfg.MessageBits {
+				r.fatalErr = &SizeError{Node: v, Bits: m.BitSize(), Bound: r.cfg.MessageBits}
+				return
+			}
+		}
+	}
+}
+
+// broadcast asks the awake process at node v for its round message, letting
+// SleepBroadcasters declare a wake round: while asleep the process is
+// guaranteed silent and randomness-free, so collectBroadcasts parks it in
+// the wake calendar instead of calling it.
+func (r *Runner) broadcast(v int) Message {
+	if s := r.sleepers[v]; s != nil {
+		m, wake := s.BroadcastSleep(r.round)
+		if m == nil && wake > r.round+1 {
+			// Never sleep past a fixed-length process's final round:
+			// driving it there flips Done for outside observers.
+			if d := r.deadline[v]; d >= 0 && wake > d {
+				wake = d
+			}
+			r.sleepUntil[v] = wake
+		}
+		return m
+	}
+	return r.cfg.Processes[v].Broadcast(r.round)
+}
+
+// deliver dispatches the round outcome to every active process according to
+// the model's reception rule: a broadcaster receives its own message, a node
+// reached by exactly one broadcaster receives that message, and every other
+// node receives ⊥.
+//
+// When every process is a PassiveReceiver, nil and self receptions are
+// no-ops by contract, so only genuine deliveries are dispatched: the loop
+// walks the hit nodes instead of the whole active set.
+func (r *Runner) deliver() {
+	if r.allPassive {
+		for _, v := range r.touched {
+			if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
+				r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
+			}
+		}
+		return
+	}
+	for _, v := range r.active {
+		p := r.cfg.Processes[v]
+		switch {
+		case r.bcast[v]:
+			if !r.passive[v] {
+				p.Receive(r.round, r.msgs[v])
+			}
+		case r.cnt[v] == 1:
+			p.Receive(r.round, r.msgs[r.from[v]])
+		case !r.passive[v]:
+			p.Receive(r.round, nil)
+		}
+	}
+}
+
 func (r *Runner) hit(v, from int) {
 	if r.cnt[v] == 0 {
 		r.touched = append(r.touched, int32(v))
@@ -643,3 +650,18 @@ func (r *Runner) RunUntil(cond func() bool) (Stats, error) {
 
 // Processes returns the configured processes (indexed by node).
 func (r *Runner) Processes() []Process { return r.cfg.Processes }
+
+// SizeError reports a message exceeding the configured bit bound.
+type SizeError struct {
+	Node  int
+	Bits  int
+	Bound int
+}
+
+// Error implements error.
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("sim: node %d sent %d bits, bound is %d", e.Node, e.Bits, e.Bound)
+}
+
+// Is reports whether target is ErrMessageTooLarge.
+func (e *SizeError) Is(target error) bool { return target == ErrMessageTooLarge }

@@ -2,10 +2,14 @@ package sim_test
 
 import (
 	"errors"
+	"math/rand/v2"
 	"testing"
 
 	"dualradio/internal/adversary"
+	"dualradio/internal/core"
+	"dualradio/internal/detector"
 	"dualradio/internal/dualgraph"
+	"dualradio/internal/gen"
 	"dualradio/internal/geom"
 	"dualradio/internal/graph"
 	"dualradio/internal/sim"
@@ -263,5 +267,64 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := sim.NewRunner(sim.Config{Net: net, Processes: make([]sim.Process, 2)}); err == nil {
 		t.Error("process count mismatch accepted")
+	}
+}
+
+// buildMISProcs constructs an identically seeded MIS process array.
+func buildMISProcs(t *testing.T, n int, det *detector.Detector,
+	asg *dualgraph.Assignment, seed uint64) []sim.Process {
+	t.Helper()
+	procs := make([]sim.Process, n)
+	for v := 0; v < n; v++ {
+		id := uint64(asg.ID(v))
+		p, err := core.NewMISProcess(core.MISConfig{
+			ID:       asg.ID(v),
+			N:        n,
+			Detector: det.Set(v),
+			Filter:   core.FilterDetector,
+			Params:   core.DefaultParams(),
+			Rng:      rand.New(rand.NewPCG(seed, id)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[v] = p
+	}
+	return procs
+}
+
+// TestDeterministicAcrossRuns verifies two identically-seeded executions
+// are byte-identical.
+func TestDeterministicAcrossRuns(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	n := 64
+	net, err := gen.RandomGeometric(gen.GeometricConfig{N: n}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg := dualgraph.IdentityAssignment(n)
+	det := detector.Complete(net, asg)
+	var prev []int
+	for trial := 0; trial < 2; trial++ {
+		procs := buildMISProcs(t, n, det, asg, 13)
+		r, err := sim.NewRunner(sim.Config{Net: net, Processes: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]int, n)
+		for v, p := range procs {
+			outs[v] = p.Output()
+		}
+		if prev != nil {
+			for v := range outs {
+				if outs[v] != prev[v] {
+					t.Fatalf("node %d differs across identically seeded runs", v)
+				}
+			}
+		}
+		prev = outs
 	}
 }
