@@ -2,6 +2,7 @@ package adversary_test
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dualradio/internal/adversary"
@@ -37,9 +38,30 @@ func lineNet(t *testing.T) *dualgraph.Network {
 	return dualgraph.New(g.Build(), gp.Build(), coords, 2)
 }
 
+// reach calls a.Reach with the round view the engine would build from
+// bcast: the ascending broadcaster list, each node's count of broadcasting
+// G-neighbors, and the nodes with a positive count in hit order.
+func reach(net *dualgraph.Network, a adversary.Adversary, round int, bcast []bool) []int {
+	var broadcasters []int
+	relCnt := make([]int32, net.N())
+	var hitNodes []int32
+	for u, b := range bcast {
+		if !b {
+			continue
+		}
+		broadcasters = append(broadcasters, u)
+		for _, v := range net.G().Neighbors(u) {
+			if relCnt[v] == 0 {
+				hitNodes = append(hitNodes, v)
+			}
+			relCnt[v]++
+		}
+	}
+	return a.Reach(round, bcast, broadcasters, relCnt, hitNodes)
+}
+
 func TestNoneActivatesNothing(t *testing.T) {
-	var a adversary.None
-	if got := a.Reach(0, []bool{true, true, true, true}); len(got) != 0 {
+	if got := reach(lineNet(t), adversary.None{}, 0, []bool{true, true, true, true}); len(got) != 0 {
 		t.Errorf("None activated %v", got)
 	}
 }
@@ -47,7 +69,7 @@ func TestNoneActivatesNothing(t *testing.T) {
 func TestFullActivatesEverything(t *testing.T) {
 	net := lineNet(t)
 	a := adversary.NewFull(net)
-	got := a.Reach(0, []bool{false, false, false, false})
+	got := reach(net, a, 0, []bool{false, false, false, false})
 	if len(got) != len(net.GrayEdges()) {
 		t.Errorf("Full activated %d of %d", len(got), len(net.GrayEdges()))
 	}
@@ -57,15 +79,15 @@ func TestUniformPExtremes(t *testing.T) {
 	net := lineNet(t)
 	bcast := []bool{true, true, true, true}
 	never := adversary.NewUniformP(net, 0, rand.New(rand.NewPCG(1, 1)))
-	if got := never.Reach(0, bcast); len(got) != 0 {
+	if got := reach(net, never, 0, bcast); len(got) != 0 {
 		t.Errorf("p=0 activated %v", got)
 	}
 	always := adversary.NewUniformP(net, 1, rand.New(rand.NewPCG(1, 1)))
-	if got := always.Reach(0, bcast); len(got) != len(net.GrayEdges()) {
+	if got := reach(net, always, 0, bcast); len(got) != len(net.GrayEdges()) {
 		t.Errorf("p=1 activated %d edges", len(got))
 	}
 	// Edges not incident to a broadcaster are never activated.
-	if got := always.Reach(0, []bool{false, false, false, false}); len(got) != 0 {
+	if got := reach(net, always, 0, []bool{false, false, false, false}); len(got) != 0 {
 		t.Errorf("idle round activated %v", got)
 	}
 }
@@ -80,7 +102,7 @@ func TestCollisionSeekingDestroysUniqueDelivery(t *testing.T) {
 	// Node 0 and node 3 broadcast. Node 1 uniquely hears node 0 over G;
 	// gray edge (1,3) lets the adversary collide it. Symmetrically node 2
 	// hears node 3 and gray (0,2) collides it.
-	got := a.Reach(0, []bool{true, false, false, true})
+	got := reach(net, a, 0, []bool{true, false, false, true})
 	if len(got) != 2 {
 		t.Fatalf("expected 2 activations, got %v", got)
 	}
@@ -99,7 +121,7 @@ func TestCollisionSeekingLeavesHopelessAlone(t *testing.T) {
 	a := adversary.NewCollisionSeeking(net)
 	// Only node 0 broadcasts: node 1's unique delivery cannot be collided
 	// (node 1's only gray neighbor, node 3, is silent).
-	if got := a.Reach(0, []bool{true, false, false, false}); len(got) != 0 {
+	if got := reach(net, a, 0, []bool{true, false, false, false}); len(got) != 0 {
 		t.Errorf("activated %v with no colliding partner available", got)
 	}
 }
@@ -118,7 +140,7 @@ func TestCliqueIsolatingBlocksBridge(t *testing.T) {
 	bcast[meta.BridgeA] = true
 	other := (meta.BridgeA + 1) % meta.Beta // another clique-A node
 	bcast[other] = true
-	got := a.Reach(0, bcast)
+	got := reach(net, a, 0, bcast)
 	if len(got) == 0 {
 		t.Fatal("adversary failed to block the bridge crossing")
 	}
@@ -137,7 +159,7 @@ func TestCliqueIsolatingBlocksBridge(t *testing.T) {
 	// A solo broadcast by the bridge endpoint cannot be blocked.
 	solo := make([]bool, net.N())
 	solo[meta.BridgeA] = true
-	if got := a.Reach(1, solo); len(got) != 0 {
+	if got := reach(net, a, 1, solo); len(got) != 0 {
 		t.Errorf("solo crossing should be unblockable, activated %v", got)
 	}
 }
@@ -159,7 +181,53 @@ func TestCliqueIsolatingIgnoresIntraCliqueTraffic(t *testing.T) {
 			count++
 		}
 	}
-	if got := a.Reach(0, bcast); len(got) != 0 {
+	if got := reach(net, a, 0, bcast); len(got) != 0 {
 		t.Errorf("intra-clique traffic triggered activations %v", got)
+	}
+}
+
+// TestCollisionSeekingMatchesNaiveRule checks both walk directions against
+// the rule itself, on sparse rounds (at most 16 broadcasters) and dense
+// ones: each silent node reached by exactly one reliable broadcaster gets
+// the lowest-index gray edge from a broadcaster, and nothing else is
+// activated.
+func TestCollisionSeekingMatchesNaiveRule(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	net, err := gen.RandomGeometric(gen.GeometricConfig{N: 120, TargetDegree: 10}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := adversary.NewCollisionSeeking(net)
+	gray := net.GrayEdges()
+	for _, p := range []float64{0.05, 0.5} {
+		for round := 0; round < 20; round++ {
+			bcast := make([]bool, net.N())
+			for v := range bcast {
+				bcast[v] = rng.Float64() < p
+			}
+			var want []int
+			for v, b := range bcast {
+				rel := 0
+				for _, w := range net.G().Neighbors(v) {
+					if bcast[w] {
+						rel++
+					}
+				}
+				if b || rel != 1 {
+					continue
+				}
+				for idx, e := range gray {
+					if (e[0] == v && bcast[e[1]]) || (e[1] == v && bcast[e[0]]) {
+						want = append(want, idx)
+						break
+					}
+				}
+			}
+			slices.Sort(want)
+			got := slices.Sorted(slices.Values(reach(net, a, round, bcast)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("p=%.2f round %d: activated %v, want %v", p, round, got, want)
+			}
+		}
 	}
 }

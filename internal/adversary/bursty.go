@@ -62,7 +62,7 @@ func (b *Bursty) duration(up bool) int {
 }
 
 // Reach implements Adversary.
-func (b *Bursty) Reach(_ int, bcast []bool) []int {
+func (b *Bursty) Reach(_ int, bcast []bool, _ []int, _, _ []int32) []int {
 	b.reuse = b.reuse[:0]
 	for i, e := range b.gray {
 		// Advance the burst state machine every round.
@@ -83,9 +83,7 @@ func (b *Bursty) Reach(_ int, bcast []bool) []int {
 // to collide it. This models a localized interference source and is the
 // worst case for a single process's progress.
 type Targeted struct {
-	inner  *CollisionSeeking
 	victim int
-	g      *dualgraph.Network
 	adj    [][]dualgraph.GrayArc
 	reuse  []int
 }
@@ -94,26 +92,13 @@ var _ Adversary = (*Targeted)(nil)
 
 // NewTargeted returns a Targeted adversary against the given node.
 func NewTargeted(net *dualgraph.Network, victim int) *Targeted {
-	return &Targeted{
-		victim: victim,
-		g:      net,
-		adj:    net.GrayAdjacency(),
-	}
+	return &Targeted{victim: victim, adj: net.GrayAdjacency()}
 }
 
 // Reach implements Adversary.
-func (t *Targeted) Reach(_ int, bcast []bool) []int {
+func (t *Targeted) Reach(_ int, bcast []bool, _ []int, relCnt []int32, _ []int32) []int {
 	t.reuse = t.reuse[:0]
-	if bcast[t.victim] {
-		return t.reuse
-	}
-	relCount := 0
-	for _, w := range t.g.G().Neighbors(t.victim) {
-		if bcast[w] {
-			relCount++
-		}
-	}
-	if relCount != 1 {
+	if bcast[t.victim] || relCnt[t.victim] != 1 {
 		return t.reuse
 	}
 	for _, arc := range t.adj[t.victim] {

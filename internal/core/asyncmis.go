@@ -166,11 +166,6 @@ func (p *AsyncMISProcess) announce() *announceMsg {
 	return p.annMsg
 }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver): the local epoch clock is derived from
-// the global round, so silent rounds need no callback.
-func (p *AsyncMISProcess) PassiveReceive() {}
-
 // Receive implements sim.Process.
 func (p *AsyncMISProcess) Receive(round int, msg sim.Message) {
 	if !p.awake {

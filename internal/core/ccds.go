@@ -268,10 +268,6 @@ func (p *CCDSProcess) Broadcast(round int) sim.Message {
 	return m
 }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *CCDSProcess) PassiveReceive() {}
-
 // BroadcastSleep implements sim.SleepBroadcaster. The search schedule has
 // long provably-silent stretches — covered processes during the banned-list
 // phase, MIS processes during decay rounds, processes with nothing to

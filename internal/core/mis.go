@@ -201,10 +201,6 @@ func (p *MISProcess) Broadcast(round int) sim.Message {
 	return m
 }
 
-// PassiveReceive marks that Receive ignores nil messages and the process's
-// own echo (see sim.PassiveReceiver).
-func (p *MISProcess) PassiveReceive() {}
-
 // nextEpochStart returns the round at which the next epoch begins, assuming
 // the cursor has been advanced past the current round.
 func (p *MISProcess) nextEpochStart(round int) int {

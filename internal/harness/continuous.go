@@ -26,11 +26,8 @@ type ContinuousOutcome struct {
 // dynamic detector for the given number of rerun periods, sampling committed
 // outputs at the supplied checkpoint rounds.
 func (s *Scenario) RunContinuousCCDS(dyn detector.Dynamic, periods int, checkpoints []int) (*ContinuousOutcome, error) {
-	if err := s.validate(); err != nil {
+	if err := s.validateCCDS(); err != nil {
 		return nil, err
-	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
 	}
 	if dyn == nil {
 		return nil, errors.New("harness: nil dynamic detector")
@@ -58,14 +55,7 @@ func (s *Scenario) RunContinuousCCDS(dyn detector.Dynamic, periods int, checkpoi
 		procs[v] = p
 		period = p.Period()
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		Net:         s.Net,
-		Adversary:   s.Adv,
-		Processes:   procs,
-		MessageBits: s.B,
-		MaxRounds:   periods*period + 1,
-		Observer:    s.Observer,
-	})
+	runner, err := s.newRunner(procs, periods*period+1)
 	if err != nil {
 		return nil, err
 	}

@@ -90,6 +90,18 @@ func (s *Scenario) validate() error {
 	return nil
 }
 
+// validateCCDS is validate plus the positive message bound every CCDS
+// algorithm needs.
+func (s *Scenario) validateCCDS() error {
+	if err := s.validate(); err != nil {
+		return err
+	}
+	if s.B <= 0 {
+		return errors.New("harness: CCDS requires a positive message bound B")
+	}
+	return nil
+}
+
 func (s *Scenario) detSet(v int) *detector.Set {
 	if s.Det == nil {
 		return nil
@@ -123,9 +135,7 @@ func collect(r *sim.Runner, inMIS func(p sim.Process) bool) *Outcome {
 	}
 	for v, p := range procs {
 		out.Outputs[v] = p.Output()
-		if inMIS != nil {
-			out.InMIS[v] = inMIS(p)
-		}
+		out.InMIS[v] = inMIS(p)
 	}
 	st := r.Stats()
 	out.Rounds = st.Rounds
@@ -135,8 +145,10 @@ func collect(r *sim.Runner, inMIS func(p sim.Process) bool) *Outcome {
 	return out
 }
 
-func (s *Scenario) run(procs []sim.Process, maxRounds int) (*sim.Runner, error) {
-	runner, err := sim.NewRunner(sim.Config{
+// newRunner wires procs into a runner over the scenario's network,
+// adversary, message bound and observer.
+func (s *Scenario) newRunner(procs []sim.Process, maxRounds int) (*sim.Runner, error) {
+	return sim.NewRunner(sim.Config{
 		Net:         s.Net,
 		Adversary:   s.Adv,
 		Processes:   procs,
@@ -144,6 +156,10 @@ func (s *Scenario) run(procs []sim.Process, maxRounds int) (*sim.Runner, error) 
 		MaxRounds:   maxRounds,
 		Observer:    s.Observer,
 	})
+}
+
+func (s *Scenario) run(procs []sim.Process, maxRounds int) (*sim.Runner, error) {
+	runner, err := s.newRunner(procs, maxRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -164,16 +180,10 @@ func (s *Scenario) RunMIS() (*Outcome, error) {
 // RunMISFiltered executes the Section 4 MIS algorithm with an explicit
 // reception filter (FilterNone reproduces the classic-model variant).
 func (s *Scenario) RunMISFiltered(filter core.FilterMode) (*Outcome, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	n := s.Net.N()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewMISProcess(core.MISConfig{
+	return runFixed(s, func(v int) (*core.MISProcess, error) {
+		return core.NewMISProcess(core.MISConfig{
 			ID:       s.Asg.ID(v),
-			N:        n,
+			N:        s.Net.N(),
 			Detector: s.detSet(v),
 			Filter:   filter,
 			// Mutual filtering needs the sender's detector set on the
@@ -182,130 +192,64 @@ func (s *Scenario) RunMISFiltered(filter core.FilterMode) (*Outcome, error) {
 			Params:        s.params(),
 			Rng:           s.RngFor(v),
 		})
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.MISProcess).InMIS()
-	}), nil
+	}, (*core.MISProcess).InMIS)
 }
 
 // RunCCDS executes the Section 5 banned-list CCDS algorithm.
 func (s *Scenario) RunCCDS() (*Outcome, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
-	}
-	n := s.Net.N()
-	delta := s.Net.Delta()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewCCDSProcess(core.CCDSConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Delta:    delta,
-			B:        s.B,
-			Detector: s.detSet(v),
-			Params:   s.params(),
-			Rng:      s.RngFor(v),
-		})
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.CCDSProcess).InMIS()
-	}), nil
+	return runCCDS(s, core.NewCCDSProcess, (*core.CCDSProcess).InMIS)
 }
 
 // RunBaselineCCDS executes the naive enumeration CCDS used as the Section 5
 // comparison point.
 func (s *Scenario) RunBaselineCCDS() (*Outcome, error) {
-	if err := s.validate(); err != nil {
+	return runCCDS(s, core.NewBaselineCCDSProcess, (*core.BaselineCCDSProcess).InMIS)
+}
+
+// RunTauCCDS executes the Section 6 CCDS algorithm for τ-complete detectors.
+func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
+	return runCCDS(s, func(c core.CCDSConfig) (*core.TauCCDSProcess, error) {
+		return core.NewTauCCDSProcess(c, tau)
+	}, (*core.TauCCDSProcess).Dominator)
+}
+
+// fixedProc is a process with a fixed schedule length.
+type fixedProc interface {
+	sim.Process
+	Rounds() int
+}
+
+// runCCDS runs a CCDS algorithm through runFixed, building node v's process
+// with mk from its configuration.
+func runCCDS[P fixedProc](s *Scenario, mk func(core.CCDSConfig) (P, error), member func(P) bool) (*Outcome, error) {
+	if err := s.validateCCDS(); err != nil {
 		return nil, err
 	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
-	}
-	n := s.Net.N()
 	delta := s.Net.Delta()
-	procs := make([]sim.Process, n)
-	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewBaselineCCDSProcess(core.CCDSConfig{
+	return runFixed(s, func(v int) (P, error) {
+		return mk(core.CCDSConfig{
 			ID:       s.Asg.ID(v),
-			N:        n,
+			N:        s.Net.N(),
 			Delta:    delta,
 			B:        s.B,
 			Detector: s.detSet(v),
 			Params:   s.params(),
 			Rng:      s.RngFor(v),
 		})
-		if err != nil {
-			return nil, err
-		}
-		procs[v] = p
-		total = p.Rounds()
-	}
-	maxRounds := s.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = total + 1
-	}
-	runner, err := s.run(procs, maxRounds)
-	if err != nil {
-		return nil, err
-	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.BaselineCCDSProcess).InMIS()
-	}), nil
+	}, member)
 }
 
-// RunTauCCDS executes the Section 6 CCDS algorithm for τ-complete detectors.
-func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
+// runFixed builds node v's fixed-schedule process with mk, runs the
+// processes (capped just past the schedule unless MaxRounds is set), and
+// collects the outcome with member deciding InMIS.
+func runFixed[P fixedProc](s *Scenario, mk func(v int) (P, error), member func(P) bool) (*Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.B <= 0 {
-		return nil, errors.New("harness: CCDS requires a positive message bound B")
-	}
-	n := s.Net.N()
-	delta := s.Net.Delta()
-	procs := make([]sim.Process, n)
+	procs := make([]sim.Process, s.Net.N())
 	var total int
-	for v := 0; v < n; v++ {
-		p, err := core.NewTauCCDSProcess(core.CCDSConfig{
-			ID:       s.Asg.ID(v),
-			N:        n,
-			Delta:    delta,
-			B:        s.B,
-			Detector: s.detSet(v),
-			Params:   s.params(),
-			Rng:      s.RngFor(v),
-		}, tau)
+	for v := range procs {
+		p, err := mk(v)
 		if err != nil {
 			return nil, err
 		}
@@ -320,9 +264,7 @@ func (s *Scenario) RunTauCCDS(tau int) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return collect(runner, func(p sim.Process) bool {
-		return p.(*core.TauCCDSProcess).Dominator()
-	}), nil
+	return collect(runner, func(p sim.Process) bool { return member(p.(P)) }), nil
 }
 
 // RunAsyncMIS executes the Section 9 asynchronous-start MIS variant. wake
@@ -356,14 +298,7 @@ func (s *Scenario) RunAsyncMIS(wake []int, filter core.FilterMode) (*AsyncOutcom
 	if maxRounds == 0 {
 		maxRounds = 1 << 20
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		Net:         s.Net,
-		Adversary:   s.Adv,
-		Processes:   procs,
-		MessageBits: s.B,
-		MaxRounds:   maxRounds,
-		Observer:    s.Observer,
-	})
+	runner, err := s.newRunner(procs, maxRounds)
 	if err != nil {
 		return nil, err
 	}

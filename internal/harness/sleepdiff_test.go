@@ -12,7 +12,7 @@ import (
 
 // plainOnly hides a process's BroadcastSleep method from the engine,
 // forcing the call-every-round discipline while preserving the fixed-length
-// and passive-receiver contracts.
+// contract.
 type plainOnly struct{ inner sim.Process }
 
 func (p plainOnly) Broadcast(r int) sim.Message  { return p.inner.Broadcast(r) }
@@ -20,7 +20,6 @@ func (p plainOnly) Receive(r int, m sim.Message) { p.inner.Receive(r, m) }
 func (p plainOnly) Output() int                  { return p.inner.Output() }
 func (p plainOnly) Done() bool                   { return p.inner.Done() }
 func (p plainOnly) Rounds() int                  { return p.inner.(interface{ Rounds() int }).Rounds() }
-func (p plainOnly) PassiveReceive()              {}
 
 // bcastLog records each round's broadcaster set.
 type bcastLog struct{ rounds [][]int }

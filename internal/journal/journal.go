@@ -58,18 +58,12 @@ func ReadAll(path string) ([][]byte, error) {
 	} else {
 		data = data[:i+1]
 	}
+	// Split the buffer in place: a record may be any length.
 	var records [][]byte
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	for line := range bytes.Lines(data) {
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			records = append(records, line)
 		}
-		records = append(records, append([]byte(nil), line...))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: scan %s: %w", path, err)
 	}
 	return records, nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -83,6 +84,49 @@ func TestReadAllDiscardsTornTail(t *testing.T) {
 	}
 	if got := readRecs(t, path); len(got) != 0 {
 		t.Fatalf("all-torn journal replayed %v", got)
+	}
+}
+
+// A record has no length cap: one larger than any line buffer replays
+// intact between its neighbors.
+func TestReadAllKeepsRecordLongerThanOneMiB(t *testing.T) {
+	type padded struct {
+		Op  string `json:"op"`
+		Pad string `json:"pad,omitempty"`
+	}
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	j, err := Begin(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	want := []padded{{Op: "accept"}, {Op: "big", Pad: strings.Repeat("x", 2<<20)}, {Op: "terminal"}}
+	for _, r := range want {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(lines), len(want))
+	}
+	for i, l := range lines {
+		var got padded
+		if err := json.Unmarshal(l, &got); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if got != want[i] {
+			t.Fatalf("record %d = %q (%d pad bytes), want %q (%d pad bytes)",
+				i, got.Op, len(got.Pad), want[i].Op, len(want[i].Pad))
+		}
 	}
 }
 

@@ -153,45 +153,33 @@ func (c *Compiled) RunTrial(trial int) (TrialResult, error) {
 		return TrialResult{}, err
 	}
 	res := TrialResult{Trial: trial, Seed: c.TrialSeed(trial), DecidedRound: -1}
+	var out *harness.Outcome
 	switch c.spec.Algorithm {
-	case AlgoMIS, AlgoMISClassic:
-		filter := core.FilterDetector
-		if c.spec.Algorithm == AlgoMISClassic {
-			filter = core.FilterNone
-		}
-		out, err := s.RunMISFiltered(filter)
-		if err != nil {
-			return res, err
-		}
-		fillOutcome(&res, out.InMIS, out.Rounds, out.DecidedRound)
-		res.Valid = verify.MIS(s.Net, s.H(), out.Outputs).OK()
+	case AlgoMIS:
+		out, err = s.RunMISFiltered(core.FilterDetector)
+	case AlgoMISClassic:
+		out, err = s.RunMISFiltered(core.FilterNone)
 	case AlgoCCDS:
-		out, err := s.RunCCDS()
-		if err != nil {
-			return res, err
-		}
-		fillOutcome(&res, out.InMIS, out.Rounds, out.DecidedRound)
-		res.Valid = verify.CCDS(s.Net, s.H(), out.Outputs, 0).OK()
+		out, err = s.RunCCDS()
 	case AlgoBaselineCCDS:
-		out, err := s.RunBaselineCCDS()
-		if err != nil {
-			return res, err
-		}
-		fillOutcome(&res, out.InMIS, out.Rounds, out.DecidedRound)
-		res.Valid = verify.CCDS(s.Net, s.H(), out.Outputs, 0).OK()
+		out, err = s.RunBaselineCCDS()
 	case AlgoTauCCDS:
-		out, err := s.RunTauCCDS(c.spec.Network.Tau)
-		if err != nil {
-			return res, err
-		}
-		fillOutcome(&res, out.InMIS, out.Rounds, out.DecidedRound)
-		res.Valid = verify.CCDS(s.Net, s.H(), out.Outputs, 0).OK()
+		out, err = s.RunTauCCDS(c.spec.Network.Tau)
 	case AlgoAsyncMIS:
 		return c.runAsyncTrial(s, res)
 	case AlgoContinuousCCDS:
 		return c.runContinuousTrial(s, res)
 	default:
 		return res, fmt.Errorf("scenario: unknown algorithm %q", c.spec.Algorithm)
+	}
+	if err != nil {
+		return res, err
+	}
+	fillOutcome(&res, out.InMIS, out.Rounds, out.DecidedRound)
+	if c.spec.Algorithm == AlgoMIS || c.spec.Algorithm == AlgoMISClassic {
+		res.Valid = verify.MIS(s.Net, s.H(), out.Outputs).OK()
+	} else {
+		res.Valid = verify.CCDS(s.Net, s.H(), out.Outputs, 0).OK()
 	}
 	return res, nil
 }

@@ -173,6 +173,22 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	}
 }
 
+// A record longer than any line buffer must not stop startup: the job
+// after it is still replayed.
+func TestReplayToleratesRecordOverOneMiB(t *testing.T) {
+	dir := t.TempDir()
+	writeJournalLines(t, dir,
+		journalRecord{Op: opStart, ID: strings.Repeat("x", 2<<20)},
+		journalRecord{Op: opAccept, ID: "j000004", Spec: rawSpec(t, quickSpec(2, 47))})
+
+	svc, _ := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	job, ok := svc.Job("j000004")
+	if !ok {
+		t.Fatal("job after the long record was not replayed")
+	}
+	waitJob(t, job, StatusDone)
+}
+
 // TestReplayResumesHalfFinishedSweep is the crash-recovery round trip: a
 // sweep runs to completion, the journal is rewound to look like the daemon
 // died before one child finished (its stored result deleted too), and a

@@ -14,14 +14,14 @@ import (
 // refReception computes the Section 2 reception rule naively: for each node,
 // enumerate every broadcaster reachable through G or an active gray edge and
 // apply the collision rule. This is the specification the optimized engine
-// must match.
+// must match. A broadcaster learns nothing new (it hears only its own
+// message), so it gets no Receive call, like a node that hears ⊥.
 func refReception(net *dualgraph.Network, bcast []bool, activeGray map[int]bool) []int {
 	n := net.N()
 	gray := net.GrayEdges()
-	out := make([]int, n) // 0 = ⊥, otherwise 1-based index of the sender node
+	out := make([]int, n) // 0 = no Receive call, otherwise 1-based index of the sender node
 	for v := 0; v < n; v++ {
 		if bcast[v] {
-			out[v] = v + 1 // broadcasters hear themselves
 			continue
 		}
 		count, sender := 0, 0
@@ -50,8 +50,8 @@ func refReception(net *dualgraph.Network, bcast []bool, activeGray map[int]bool)
 	return out
 }
 
-// recordingProc broadcasts per a random script and records the sender node
-// of each reception.
+// recordingProc broadcasts per a random script and records, per round, the
+// sender of its reception (0 = no Receive call, -1 = a nil message).
 type recordingProc struct {
 	node   int
 	script []bool
@@ -61,6 +61,7 @@ type recordingProc struct {
 }
 
 func (p *recordingProc) Broadcast(round int) sim.Message {
+	p.round++
 	if round < len(p.script) && p.script[round] {
 		return refMsg{from: p.node + 1}
 	}
@@ -73,12 +74,11 @@ func (m refMsg) From() int    { return m.from }
 func (m refMsg) BitSize() int { return 16 }
 
 func (p *recordingProc) Receive(round int, msg sim.Message) {
-	got := 0
-	if msg != nil {
-		got = msg.From()
+	if msg == nil {
+		p.heard[round] = -1
+		return
 	}
-	p.heard = append(p.heard, got)
-	p.round++
+	p.heard[round] = msg.From()
 }
 func (p *recordingProc) Output() int { return 0 }
 func (p *recordingProc) Done() bool  { return p.round >= p.limit }
@@ -90,8 +90,8 @@ type capturingAdversary struct {
 	log   []map[int]bool
 }
 
-func (c *capturingAdversary) Reach(round int, bcast []bool) []int {
-	got := c.inner.Reach(round, bcast)
+func (c *capturingAdversary) Reach(round int, bcast []bool, broadcasters []int, relCnt, hitNodes []int32) []int {
+	got := c.inner.Reach(round, bcast, broadcasters, relCnt, hitNodes)
 	m := make(map[int]bool, len(got))
 	for _, idx := range got {
 		m[idx] = true
@@ -102,7 +102,8 @@ func (c *capturingAdversary) Reach(round int, bcast []bool) []int {
 
 // TestEngineMatchesReferenceModel drives the engine with random broadcast
 // scripts and a random adversary, then replays every round through the
-// naive specification and compares receptions exactly.
+// naive specification and compares receptions exactly: every silent node
+// gets the reference's message or no call, and no broadcaster gets a call.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 0xEF))
@@ -120,7 +121,7 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			for r := range script {
 				script[r] = rng.Float64() < 0.3
 			}
-			recs[v] = &recordingProc{node: v, script: script, limit: rounds}
+			recs[v] = &recordingProc{node: v, script: script, heard: make([]int, rounds), limit: rounds}
 			procs[v] = recs[v]
 		}
 		adv := &capturingAdversary{

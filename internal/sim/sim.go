@@ -10,6 +10,10 @@
 //     that neighbor's message;
 //   - otherwise the node receives ⊥ (there is no collision detection).
 //
+// Without collision detection ⊥ carries no information, and neither does a
+// broadcaster's own echo, so the engine reports only the middle case: it
+// calls Receive exactly for the silent nodes with a unique reach-neighbor.
+//
 // The engine is deterministic for a fixed seed: one sequential round loop
 // drives every process, so an execution is a pure function of its seeds.
 //
@@ -56,9 +60,11 @@ type Process interface {
 	// Broadcast is called at the start of each round and returns the
 	// message to transmit, or nil to stay silent.
 	Broadcast(round int) Message
-	// Receive reports the round's outcome to the process: the received
-	// message, or nil for ⊥ (silence or collision — indistinguishable).
-	// A broadcaster always receives its own message.
+	// Receive delivers a message. It is called only in rounds where the
+	// process is active, stays silent, and is reached by exactly one
+	// broadcaster; msg is never nil. A round without a Receive call is ⊥
+	// (silence or collision, indistinguishable), or the process's own
+	// broadcast, which it already knows.
 	Receive(round int, msg Message)
 	// Output returns the process's current output: Undecided, 0, or 1.
 	Output() int
@@ -115,8 +121,6 @@ type Config struct {
 type Runner struct {
 	cfg   Config
 	adv   adversary.Adversary
-	ladv  adversary.ListAdversary    // non-nil when adv accepts broadcaster lists
-	cadv  adversary.CountedAdversary // non-nil when adv reuses engine hit counts
 	gray  [][2]int
 	round int
 	stats Stats
@@ -139,12 +143,9 @@ type Runner struct {
 	firstUndecided int
 	// Sleep bookkeeping: sleepers[v] is non-nil for SleepBroadcaster
 	// processes; sleepUntil[v] is the round before which Broadcast calls
-	// are skipped. passive[v] marks PassiveReceiver processes; when every
-	// process is passive the delivery phase walks only the hit nodes.
+	// are skipped.
 	sleepers   []SleepBroadcaster
 	sleepUntil []int
-	passive    []bool
-	allPassive bool
 	// Wake calendar: runnable is the awake subset of active (ascending);
 	// sleeping processes sit in a min-heap of (wakeRound, node) pairs and
 	// are merged back when their round arrives, so a round's broadcast
@@ -199,17 +200,6 @@ type SleepBroadcaster interface {
 	BroadcastSleep(round int) (Message, int)
 }
 
-// PassiveReceiver is an optional marker for processes whose Receive is a
-// no-op for nil messages (silence/collision) and for their own broadcast
-// echo: no state change, no randomness. The engine then dispatches Receive
-// only for genuine foreign deliveries, making the delivery phase cost
-// O(deliveries) instead of O(active).
-type PassiveReceiver interface {
-	Process
-	// PassiveReceive is never called; it only marks the contract.
-	PassiveReceive()
-}
-
 // NewRunner validates the configuration and returns a ready Runner.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Net == nil {
@@ -239,15 +229,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		deadline:   make([]int, n),
 		sleepers:   make([]SleepBroadcaster, n),
 		sleepUntil: make([]int, n),
-		passive:    make([]bool, n),
 	}
-	if la, ok := adv.(adversary.ListAdversary); ok {
-		r.ladv = la
-	}
-	if ca, ok := adv.(adversary.CountedAdversary); ok {
-		r.cadv = ca
-	}
-	r.allPassive = true
 	r.uniformDeadline = -1
 	for v, p := range cfg.Processes {
 		r.deadline[v] = -1
@@ -262,11 +244,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		if sb, ok := p.(SleepBroadcaster); ok {
 			r.sleepers[v] = sb
-		}
-		if _, ok := p.(PassiveReceiver); ok {
-			r.passive[v] = true
-		} else {
-			r.allPassive = false
 		}
 		if !p.Done() {
 			r.active = append(r.active, int32(v))
@@ -406,25 +383,17 @@ func (r *Runner) Step() bool {
 	}
 	r.stats.Broadcasts += len(r.bList)
 
-	// Phase 2+3: reliable receptions are counted first, so a counting
-	// adversary can reuse them instead of re-walking every broadcaster's
-	// neighborhood; then the adversary fixes the reach set, and finally
-	// the activated gray edges are folded into the same hit counters.
+	// Phase 2+3: reliable receptions are counted first and handed to the
+	// adversary with the broadcaster list; then the adversary fixes the
+	// reach set, and finally the activated gray edges are folded into the
+	// same hit counters.
 	g := r.cfg.Net.G()
 	for _, u := range r.bList {
 		for _, v := range g.Neighbors(u) {
 			r.hit(int(v), u)
 		}
 	}
-	var reach []int
-	switch {
-	case r.cadv != nil:
-		reach = r.cadv.ReachCounted(r.round, r.bcast, r.bList, r.cnt, r.touched)
-	case r.ladv != nil:
-		reach = r.ladv.ReachList(r.round, r.bcast, r.bList)
-	default:
-		reach = r.adv.Reach(r.round, r.bcast)
-	}
+	reach := r.adv.Reach(r.round, r.bcast, r.bList, r.cnt, r.touched)
 	r.stats.GrayActivations += len(reach)
 	for _, idx := range reach {
 		e := r.gray[idx]
@@ -436,8 +405,8 @@ func (r *Runner) Step() bool {
 		}
 	}
 
-	// Phase 4: record stats over the hit nodes, then deliver the outcome
-	// to every active process.
+	// Phase 4: record stats over the hit nodes, then deliver the unique
+	// receptions.
 	r.recordReceptions()
 	r.deliver()
 
@@ -505,9 +474,9 @@ func (r *Runner) Step() bool {
 // broadcast again.
 func (r *Runner) collectBroadcasts() {
 	// msgs[v] is written only for broadcasters: the slot is read solely
-	// under bcast[v] (self-reception) or via from[v] (which always names a
-	// current broadcaster), so stale entries are unreachable and the
-	// common silent round costs no interface stores or write barriers.
+	// via bList or from[v] (which always names a current broadcaster), so
+	// stale entries are unreachable and the common silent round costs no
+	// interface stores or write barriers.
 	r.bList = r.bList[:0]
 	nr := r.runnable[:0]
 	for _, v := range r.runnable {
@@ -560,34 +529,13 @@ func (r *Runner) broadcast(v int) Message {
 	return r.cfg.Processes[v].Broadcast(r.round)
 }
 
-// deliver dispatches the round outcome to every active process according to
-// the model's reception rule: a broadcaster receives its own message, a node
-// reached by exactly one broadcaster receives that message, and every other
-// node receives ⊥.
-//
-// When every process is a PassiveReceiver, nil and self receptions are
-// no-ops by contract, so only genuine deliveries are dispatched: the loop
-// walks the hit nodes instead of the whole active set.
+// deliver applies the model's reception rule. Only a silent node reached by
+// exactly one broadcaster learns anything (see the Process contract), so the
+// loop walks the hit nodes, not the active set.
 func (r *Runner) deliver() {
-	if r.allPassive {
-		for _, v := range r.touched {
-			if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
-				r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
-			}
-		}
-		return
-	}
-	for _, v := range r.active {
-		p := r.cfg.Processes[v]
-		switch {
-		case r.bcast[v]:
-			if !r.passive[v] {
-				p.Receive(r.round, r.msgs[v])
-			}
-		case r.cnt[v] == 1:
-			p.Receive(r.round, r.msgs[r.from[v]])
-		case !r.passive[v]:
-			p.Receive(r.round, nil)
+	for _, v := range r.touched {
+		if !r.bcast[v] && r.cnt[v] == 1 && r.isActive[v] {
+			r.cfg.Processes[v].Receive(r.round, r.msgs[r.from[v]])
 		}
 	}
 }
